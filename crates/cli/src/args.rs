@@ -47,7 +47,7 @@ one OS process per rank; bit-identical to `cluster --algorithm dist`):
   --dir D                             rendezvous directory (default: temp dir)
   --graph-shard-dir D                 out-of-core: each rank reads its own
                                       `shard-R.snap` from D; no edge list needed
-  --paged                             shard mode: demand-page shards over a
+  --paged                             demand-page each worker's shard over a
                                       block cache instead of loading eagerly
   --block-bytes N                     paged: cache block size (default 65536)
   --cache-blocks N                    paged: cache capacity in blocks (default 64)
@@ -330,15 +330,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut o = WorkerOpts {
                 rank: usize::MAX,
                 procs: 0,
-                graph: String::new(),
                 seed: 0,
                 dir: String::new(),
                 transport: TransportKind::Uds,
                 checkpoint_every: 0,
                 timeout_ms: 5000,
                 threads: 1,
-                output: None,
-                graph_shard_dir: None,
+                graph_shard_dir: String::new(),
                 paged: false,
                 block_bytes: 0,
                 cache_blocks: 0,
@@ -350,15 +348,13 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "--rank" => o.rank = num(&mut it, flag)?,
                     "--procs" => o.procs = num(&mut it, flag)?,
                     "--threads" => o.threads = num(&mut it, flag)?,
-                    "--graph" => o.graph = next(&mut it, flag)?,
                     "--seed" => o.seed = num(&mut it, flag)?,
                     "--dir" => o.dir = next(&mut it, flag)?,
                     "--transport" => tcp = parse_transport(&next(&mut it, flag)?)?,
                     "--base-port" => base_port = Some(num(&mut it, flag)?),
                     "--checkpoint-every" => o.checkpoint_every = num(&mut it, flag)?,
                     "--timeout-ms" => o.timeout_ms = num(&mut it, flag)?,
-                    "--output" => o.output = Some(next(&mut it, flag)?),
-                    "--graph-shard-dir" => o.graph_shard_dir = Some(next(&mut it, flag)?),
+                    "--graph-shard-dir" => o.graph_shard_dir = next(&mut it, flag)?,
                     "--paged" => o.paged = true,
                     "--block-bytes" => o.block_bytes = num(&mut it, flag)?,
                     "--cache-blocks" => o.cache_blocks = num(&mut it, flag)?,
@@ -368,11 +364,11 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if o.rank == usize::MAX
                 || o.procs == 0
                 || o.dir.is_empty()
-                || o.graph.is_empty() == o.graph_shard_dir.is_none()
+                || o.graph_shard_dir.is_empty()
             {
-                return Err("_rank: --rank, --procs, --dir and exactly one of \
-                            --graph/--graph-shard-dir are required"
-                    .into());
+                return Err(
+                    "_rank: --rank, --procs, --dir and --graph-shard-dir are required".into(),
+                );
             }
             o.transport = resolve_transport(tcp, base_port)?;
             Ok(Command::RankWorker(o))
@@ -521,7 +517,7 @@ mod tests {
         }
         // Workers default to 1 and accept the forwarded flag.
         let cmd = parse(&argv(
-            "_rank --rank 0 --procs 2 --graph g.txt --dir d --threads 4",
+            "_rank --rank 0 --procs 2 --graph-shard-dir s --dir d --threads 4",
         ))
         .unwrap();
         match cmd {
@@ -550,19 +546,33 @@ mod tests {
         // Exactly one input: neither and both are errors.
         assert!(parse(&argv("launch --procs 2")).is_err());
         assert!(parse(&argv("launch g.txt --graph-shard-dir shards")).is_err());
-        // Workers accept the forwarded shard flags in place of --graph.
+        // Workers accept the forwarded shard flags.
         let cmd = parse(&argv(
             "_rank --rank 1 --procs 2 --dir d --graph-shard-dir shards --paged",
         ))
         .unwrap();
         match cmd {
             Command::RankWorker(o) => {
-                assert_eq!(o.graph_shard_dir.as_deref(), Some("shards"));
+                assert_eq!(o.graph_shard_dir, "shards");
                 assert!(o.paged);
             }
             other => panic!("wrong parse: {other:?}"),
         }
-        assert!(parse(&argv("_rank --rank 1 --procs 2 --dir d")).is_err());
+        assert_eq!(
+            parse(&argv("_rank --rank 1 --procs 2 --dir d")),
+            Err("_rank: --rank, --procs, --dir and --graph-shard-dir are required".into())
+        );
+        // Workers read only shards and never write the assignment file.
+        assert_eq!(
+            parse(&argv("_rank --rank 0 --procs 2 --dir d --graph g.txt")),
+            Err("_rank: unknown flag \"--graph\"".into())
+        );
+        assert_eq!(
+            parse(&argv(
+                "_rank --rank 0 --procs 2 --dir d --graph-shard-dir s --output f"
+            )),
+            Err("_rank: unknown flag \"--output\"".into())
+        );
     }
 
     #[test]

@@ -3,12 +3,15 @@
 //! threads.
 //!
 //! The launcher forks `--procs` copies of this binary with the hidden
-//! `_rank` subcommand. Every worker loads the same edge list, calls
-//! [`RankProgram::prepare_ranks`] for its own rank only (a pure function
-//! of the config and graph, so independently-preparing processes agree
-//! bit-for-bit with each other and with the thread world), connects a
-//! [`SocketTransport`] mesh in a shared rendezvous directory, and runs
-//! the identical SPMD driver the thread world runs — the two backends
+//! `_rank` subcommand. Every worker opens only its own binary shard
+//! (`shard-R.snap`) and builds its rank with
+//! [`RankProgram::prepare_shard`], whose collectives reproduce the
+//! whole-graph preparation bit for bit. On edge-list input the launcher
+//! parses the text once and writes the shards into `<run dir>/shards/`
+//! before the first attempt (relaunches reuse them; they are deleted
+//! after the last attempt). Each worker then connects a
+//! [`SocketTransport`] mesh in a shared rendezvous directory and runs the
+//! identical SPMD driver the thread world runs — the two backends
 //! produce bit-identical MDL series, move counts, and assignments per
 //! seed (gated by `tests/comm_equivalence.rs`).
 //!
@@ -28,8 +31,9 @@
 //!
 //! Rank 0 writes `result.json` into the rendezvous directory with the
 //! codelength and per-round MDL series as exact f64 bit patterns, the
-//! measured wall time, and the modeled makespan from the same metering
-//! counters the thread world uses.
+//! measured wall time, the modeled makespan from the same metering
+//! counters the thread world uses, and every vertex's module. The
+//! launcher is the only writer of the `--output` assignment file.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -45,7 +49,8 @@ use infomap_distributed::{
 };
 use infomap_graph::io;
 use infomap_graph::snapshot::{
-    read_header, shard_path, PageCacheConfig, SnapshotHeader, SnapshotStore as GraphSnapshotStore,
+    read_header, shard_path, write_shards, PageCacheConfig, SnapshotHeader,
+    SnapshotStore as GraphSnapshotStore,
 };
 use infomap_mpisim::{Comm, CostModel, TransportFault};
 use infomap_transport_socket::{SocketConfig, SocketTransport};
@@ -85,12 +90,11 @@ pub struct LaunchOpts {
     /// every value; see `DistributedConfig::threads`).
     pub threads: usize,
     /// Out-of-core mode: read per-rank binary shards `shard-R.snap` from
-    /// this directory instead of parsing the `path` edge list. Each
-    /// worker touches only its own shard, so the global graph is never
-    /// materialized in any single process.
+    /// this directory instead of parsing the `path` edge list, so the
+    /// global graph is never materialized in any single process.
     pub graph_shard_dir: Option<String>,
-    /// Shard mode: open the shard demand-paged over a block cache
-    /// instead of loading it eagerly (bit-identical either way).
+    /// Workers open their shard demand-paged over a block cache instead
+    /// of loading it eagerly (bit-identical either way).
     pub paged: bool,
     /// Paged mode: cache block size in bytes (0 = library default).
     pub block_bytes: usize,
@@ -103,7 +107,6 @@ pub struct LaunchOpts {
 pub struct WorkerOpts {
     pub rank: usize,
     pub procs: usize,
-    pub graph: String,
     pub seed: u64,
     pub dir: String,
     pub transport: TransportKind,
@@ -111,10 +114,8 @@ pub struct WorkerOpts {
     pub timeout_ms: u64,
     /// Intra-rank worker threads (forwarded from `launch --threads`).
     pub threads: usize,
-    /// Rank 0 writes `vertex community` lines here on success.
-    pub output: Option<String>,
-    /// Forwarded from `launch --graph-shard-dir` (replaces `graph`).
-    pub graph_shard_dir: Option<String>,
+    /// Directory holding this rank's `shard-R.snap`.
+    pub graph_shard_dir: String,
     /// Forwarded from `launch --paged`.
     pub paged: bool,
     /// Forwarded from `launch --block-bytes`.
@@ -213,35 +214,14 @@ enum WorkerFailure {
     Other(String),
 }
 
-/// What one worker clusters: the shared edge list, or its own binary
-/// shard (eager or demand-paged).
-enum WorkerGraph {
-    Edges(io::LoadedGraph),
-    Shard {
-        header: SnapshotHeader,
-        store: GraphSnapshotStore,
-    },
-}
-
 fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
     let dir = PathBuf::from(&o.dir);
-    let graph = match &o.graph_shard_dir {
-        Some(d) => {
-            let path = shard_path(Path::new(d), o.rank);
-            let header = read_header(&path).map_err(|e| {
-                WorkerFailure::Other(format!("cannot read {}: {e}", path.display()))
-            })?;
-            let cache = page_cache(o.paged, o.block_bytes, o.cache_blocks);
-            let store = GraphSnapshotStore::open(&path, cache).map_err(|e| {
-                WorkerFailure::Other(format!("cannot open {}: {e}", path.display()))
-            })?;
-            WorkerGraph::Shard { header, store }
-        }
-        None => WorkerGraph::Edges(
-            io::read_edge_list_file(&o.graph)
-                .map_err(|e| WorkerFailure::Other(format!("cannot read {}: {e}", o.graph)))?,
-        ),
-    };
+    let path = shard_path(Path::new(&o.graph_shard_dir), o.rank);
+    let header = read_header(&path)
+        .map_err(|e| WorkerFailure::Other(format!("cannot read {}: {e}", path.display())))?;
+    let cache = page_cache(o.paged, o.block_bytes, o.cache_blocks);
+    let graph = GraphSnapshotStore::open(&path, cache)
+        .map_err(|e| WorkerFailure::Other(format!("cannot open {}: {e}", path.display())))?;
     let cfg = distributed_config(o.procs, o.seed, o.checkpoint_every, o.threads);
 
     // Durable checkpoints when enabled, so a relaunched world resumes;
@@ -276,16 +256,9 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
     let started = Instant::now();
     // Shard preparation is itself collective (degrees, rebalance, and
     // ghost discovery all cross ranks), so it runs inside the fault
-    // boundary; monolithic preparation is pure and rides along.
+    // boundary.
     let run = catch_unwind(AssertUnwindSafe(|| {
-        let program = match &graph {
-            WorkerGraph::Edges(loaded) => {
-                RankProgram::prepare_ranks(cfg, &loaded.graph, o.rank..o.rank + 1)
-            }
-            WorkerGraph::Shard { header, store: g } => {
-                RankProgram::prepare_shard(cfg, header, g, &mut comm)
-            }
-        };
+        let program = RankProgram::prepare_shard(cfg, &header, &graph, &mut comm);
         let done = program.run_rank(&mut comm, store.as_ref());
         (program, done)
     }));
@@ -305,21 +278,6 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
                     program.assemble_output(modules, trace, codelength, vec![stats], recovery);
                 write_result(&dir, o, &out, wall)
                     .map_err(|e| WorkerFailure::Other(format!("write result: {e}")))?;
-                if let Some(out_path) = &o.output {
-                    match &graph {
-                        WorkerGraph::Edges(loaded) => {
-                            write_assignments(out_path, &out.modules, &loaded.original_ids)
-                                .map_err(WorkerFailure::Other)?;
-                        }
-                        // Snapshot rows are already keyed by global
-                        // vertex id, so the id map is the identity.
-                        WorkerGraph::Shard { header, .. } => {
-                            let ids: Vec<u64> = (0..header.global_vertices as u64).collect();
-                            write_assignments(out_path, &out.modules, &ids)
-                                .map_err(WorkerFailure::Other)?;
-                        }
-                    }
-                }
             }
             Ok(())
         }
@@ -344,15 +302,23 @@ fn worker_inner(o: &WorkerOpts) -> Result<(), WorkerFailure> {
     }
 }
 
-fn write_assignments(path: &str, modules: &[u32], original_ids: &[u64]) -> Result<(), String> {
+/// `vertex community` lines. `original_ids` maps dense vertex ids back
+/// to the edge list's ids; `None` is the identity, because snapshot rows
+/// are already keyed by global vertex id.
+fn write_assignments(
+    path: &str,
+    modules: &[u32],
+    original_ids: Option<&[u64]>,
+) -> Result<(), String> {
     let mut w = std::io::BufWriter::new(
         std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?,
     );
     writeln!(w, "# vertex community").map_err(|e| e.to_string())?;
     for (dense, &m) in modules.iter().enumerate() {
-        writeln!(w, "{} {}", original_ids[dense], m).map_err(|e| e.to_string())?;
+        let id = original_ids.map_or(dense as u64, |ids| ids[dense]);
+        writeln!(w, "{id} {m}").map_err(|e| e.to_string())?;
     }
-    Ok(())
+    w.flush().map_err(|e| e.to_string())
 }
 
 /// Atomic (tmp + rename) so the launcher never reads a torn file.
@@ -445,61 +411,50 @@ fn json_string(s: &str) -> String {
 // Launcher (`dinfomap launch ...`)
 // ---------------------------------------------------------------------
 
-/// Validated launch input: the shared edge list (kept loaded for
-/// reporting and degraded assembly) or a directory of per-rank shards
-/// (only their headers are read launcher-side).
+/// Validated launch input. Workers only ever open shards; an edge list
+/// stays loaded launcher-side for the report, the id map of the
+/// assignment file, and degraded assembly.
 enum LaunchSource {
-    Edges {
-        abs: String,
-        loaded: io::LoadedGraph,
-    },
-    Shards {
-        abs: String,
-        vertices: usize,
-        edges: usize,
-    },
+    Edges(io::LoadedGraph),
+    /// A user-supplied shard directory and its rank-0 header (only the
+    /// headers are read launcher-side).
+    Shards(PathBuf, SnapshotHeader),
 }
 
 fn resolve_source(o: &LaunchOpts) -> Result<LaunchSource, String> {
-    if let Some(d) = &o.graph_shard_dir {
-        let abs = std::fs::canonicalize(d)
-            .map_err(|e| format!("cannot resolve {d}: {e}"))?
-            .to_string_lossy()
-            .into_owned();
-        // Every rank's shard must exist and agree on the world shape
-        // before any process is forked.
-        let mut vertices = 0usize;
-        let mut edges = 0usize;
-        for rank in 0..o.procs {
-            let path = shard_path(Path::new(&abs), rank);
-            let h =
-                read_header(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            if h.nranks != o.procs || h.rank != rank {
-                return Err(format!(
-                    "{}: sharded for rank {}/{} but launching {} procs",
-                    path.display(),
-                    h.rank,
-                    h.nranks,
-                    o.procs
-                ));
-            }
-            vertices = h.global_vertices;
-            edges = h.global_edges;
+    let Some(d) = &o.graph_shard_dir else {
+        return io::read_edge_list_file(&o.path)
+            .map(LaunchSource::Edges)
+            .map_err(|e| format!("cannot read {}: {e}", o.path));
+    };
+    let abs = std::fs::canonicalize(d).map_err(|e| format!("cannot resolve {d}: {e}"))?;
+    // Every rank's shard must exist, agree on the world shape, and come
+    // from the same graph before any process is forked: each rank takes
+    // the vertex count and the flow normaliser from its own header.
+    let totals = |h: &SnapshotHeader| (h.global_vertices, h.global_edges, h.global_weight);
+    let mut first: Option<SnapshotHeader> = None;
+    for rank in 0..o.procs {
+        let path = shard_path(&abs, rank);
+        let h = read_header(&path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        if h.nranks != o.procs || h.rank != rank {
+            return Err(format!(
+                "{}: sharded for rank {}/{} but launching {} procs",
+                path.display(),
+                h.rank,
+                h.nranks,
+                o.procs
+            ));
         }
-        Ok(LaunchSource::Shards {
-            abs,
-            vertices,
-            edges,
-        })
-    } else {
-        let loaded =
-            io::read_edge_list_file(&o.path).map_err(|e| format!("cannot read {}: {e}", o.path))?;
-        let abs = std::fs::canonicalize(&o.path)
-            .map_err(|e| format!("cannot resolve {}: {e}", o.path))?
-            .to_string_lossy()
-            .into_owned();
-        Ok(LaunchSource::Edges { abs, loaded })
+        let ((v, e, w), (v0, e0, w0)) = (totals(&h), totals(first.get_or_insert(h)));
+        if (v, e, w.to_bits()) != (v0, e0, w0.to_bits()) {
+            return Err(format!(
+                "{}: shard of a different graph ({v} vertices, {e} edges, weight {w}) \
+                 than shard 0 ({v0} vertices, {e0} edges, weight {w0})",
+                path.display()
+            ));
+        }
     }
+    Ok(LaunchSource::Shards(abs, first.expect("procs >= 1")))
 }
 
 pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
@@ -516,6 +471,20 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
         ),
     };
     std::fs::create_dir_all(sock_dir(&dir)).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
+
+    // Workers read only shards: an edge list is sharded once here, and
+    // every attempt reuses the same files.
+    let shard_dir = match &source {
+        LaunchSource::Edges(loaded) => {
+            let d = dir.join("shards");
+            write_shards(&loaded.graph, o.procs, &d).map_err(|e| {
+                remove_shards(&d, o.procs);
+                format!("cannot write shards into {}: {e}", d.display())
+            })?;
+            d
+        }
+        LaunchSource::Shards(abs, _) => abs.clone(),
+    };
 
     let started = Instant::now();
     let attempts_budget = o.max_retries + 1;
@@ -534,7 +503,7 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
             let _ = std::fs::remove_file(diag_path(&dir, r));
         }
         let kill = if attempt == 0 { o.kill_rank } else { None };
-        match run_world_once(&o, &dir, &source, kill) {
+        match run_world_once(&o, &dir, &shard_dir, kill) {
             Ok(()) => {
                 outcome = Ok(());
                 break;
@@ -548,8 +517,20 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
             }
         }
     }
-
     let wall = started.elapsed();
+    // The launcher's own shards are done with, whatever the outcome.
+    let (vertices, edges, original_ids) = match &source {
+        LaunchSource::Edges(loaded) => {
+            remove_shards(&shard_dir, o.procs);
+            let g = &loaded.graph;
+            (
+                g.num_vertices(),
+                g.num_edges(),
+                Some(&loaded.original_ids[..]),
+            )
+        }
+        LaunchSource::Shards(_, h) => (h.global_vertices, h.global_edges, None),
+    };
     let finish = |res: Result<(), String>| {
         if ephemeral && res.is_ok() {
             let _ = std::fs::remove_dir_all(&dir);
@@ -559,16 +540,11 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
 
     match outcome {
         Ok(()) => {
+            let report = read_result_summary(&result_path(&dir))?;
+            if let Some(out_path) = &o.output {
+                write_assignments(out_path, &report.modules, original_ids)?;
+            }
             if !o.quiet {
-                let report = read_result_summary(&result_path(&dir))?;
-                let (vertices, edges) = match &source {
-                    LaunchSource::Edges { loaded, .. } => {
-                        (loaded.graph.num_vertices(), loaded.graph.num_edges())
-                    }
-                    LaunchSource::Shards {
-                        vertices, edges, ..
-                    } => (*vertices, *edges),
-                };
                 println!(
                     "distributed Infomap over {} OS processes ({}): {vertices} vertices, {edges} edges",
                     o.procs,
@@ -597,7 +573,7 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
             // Degraded assembly re-prepares from the whole graph, which
             // only the edge-list mode has in one place.
             let ckpt = ckpt_dir(&dir);
-            let LaunchSource::Edges { loaded, .. } = &source else {
+            let LaunchSource::Edges(loaded) = &source else {
                 return finish(Err(format!(
                     "launch failed after {attempts} attempt(s): {last} \
                      (degraded assembly needs edge-list input, not --graph-shard-dir)"
@@ -633,7 +609,7 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
                     println!("  last failure: {last}");
                 }
                 if let Some(out_path) = &o.output {
-                    write_assignments(out_path, &out.modules, &loaded.original_ids)?;
+                    write_assignments(out_path, &out.modules, original_ids)?;
                 }
                 return finish(Ok(()));
             }
@@ -644,12 +620,21 @@ pub fn run_launch(o: LaunchOpts) -> Result<(), String> {
     }
 }
 
+/// Delete the shards the launcher wrote, then their directory if that
+/// leaves it empty: nothing else under the run directory is touched.
+fn remove_shards(dir: &Path, procs: usize) {
+    for rank in 0..procs {
+        let _ = std::fs::remove_file(shard_path(dir, rank));
+    }
+    let _ = std::fs::remove_dir(dir);
+}
+
 /// Spawn one world of `procs` workers and wait for it. `Ok` only when
 /// every worker exits 0 and rank 0 published `result.json`.
 fn run_world_once(
     o: &LaunchOpts,
     dir: &Path,
-    source: &LaunchSource,
+    shard_dir: &Path,
     kill: Option<(usize, u64)>,
 ) -> Result<(), String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
@@ -660,22 +645,16 @@ fn run_world_once(
             .arg("--rank")
             .arg(rank.to_string())
             .arg("--procs")
-            .arg(o.procs.to_string());
-        match source {
-            LaunchSource::Edges { abs, .. } => {
-                cmd.arg("--graph").arg(abs);
+            .arg(o.procs.to_string())
+            .arg("--graph-shard-dir")
+            .arg(shard_dir.as_os_str());
+        if o.paged {
+            cmd.arg("--paged");
+            if o.block_bytes > 0 {
+                cmd.arg("--block-bytes").arg(o.block_bytes.to_string());
             }
-            LaunchSource::Shards { abs, .. } => {
-                cmd.arg("--graph-shard-dir").arg(abs);
-                if o.paged {
-                    cmd.arg("--paged");
-                    if o.block_bytes > 0 {
-                        cmd.arg("--block-bytes").arg(o.block_bytes.to_string());
-                    }
-                    if o.cache_blocks > 0 {
-                        cmd.arg("--cache-blocks").arg(o.cache_blocks.to_string());
-                    }
-                }
+            if o.cache_blocks > 0 {
+                cmd.arg("--cache-blocks").arg(o.cache_blocks.to_string());
             }
         }
         cmd.arg("--seed")
@@ -691,11 +670,6 @@ fn run_world_once(
         if let TransportKind::Tcp { base_port } = o.transport {
             cmd.arg("--transport").arg("tcp");
             cmd.arg("--base-port").arg(base_port.to_string());
-        }
-        if rank == 0 {
-            if let Some(out) = &o.output {
-                cmd.arg("--output").arg(out);
-            }
         }
         let child = cmd.spawn().map_err(|e| format!("spawn rank {rank}: {e}"))?;
         children.push(Some(child));
@@ -791,21 +765,28 @@ fn run_world_once(
     }
 }
 
-/// The fields of `result.json` the launcher reports. Parsed with a
-/// purpose-built scanner — the file is machine-written by this same
-/// binary, so a `"key": value` scan is exact.
+/// The fields of `result.json` the launcher reports and writes out.
+/// Parsed with a purpose-built scanner — the file is machine-written by
+/// this same binary, so a `"key": value` scan is exact.
 struct ResultSummary {
     codelength: f64,
     num_modules: u64,
     wall_ms: f64,
     modeled_ms: f64,
+    /// Every vertex's module, in dense vertex order.
+    modules: Vec<u32>,
 }
 
+/// A scalar value (unquoted), or a whole `[...]` list.
 fn json_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{key}\":");
     let at = text.find(&needle)? + needle.len();
     let rest = text[at..].trim_start();
-    let end = rest.find([',', '\n', '}']).unwrap_or(rest.len());
+    let end = if rest.starts_with('[') {
+        rest.find(']')? + 1
+    } else {
+        rest.find([',', '\n', '}']).unwrap_or(rest.len())
+    };
     Some(rest[..end].trim().trim_matches('"'))
 }
 
@@ -824,6 +805,15 @@ fn read_result_summary(path: &Path) -> Result<ResultSummary, String> {
         num_modules: field("num_modules")? as u64,
         wall_ms: field("wall_ms")?,
         modeled_ms: field("modeled_ms")?,
+        modules: json_field(&text, "modules")
+            .and_then(|list| {
+                let list = list.trim_matches(['[', ']']);
+                list.split(',')
+                    .filter(|m| !m.is_empty())
+                    .map(|m| m.parse().ok())
+                    .collect()
+            })
+            .ok_or("result.json: missing modules")?,
     })
 }
 
@@ -850,6 +840,7 @@ mod tests {
         let s = read_result_summary_from(text).unwrap();
         assert_eq!(s.codelength, 3.0);
         assert_eq!(s.num_modules, 7);
+        assert_eq!(s.modules, [1, 2]);
     }
 
     fn read_result_summary_from(text: &str) -> Result<ResultSummary, String> {

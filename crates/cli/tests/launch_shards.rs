@@ -1,14 +1,16 @@
-//! End-to-end out-of-core launch: real OS worker processes, each
-//! reading only its own binary shard (demand-paged), must reproduce the
-//! in-process thread world bit-for-bit — codelength, per-round MDL
-//! series, and the final assignment.
+//! End-to-end launch: real OS worker processes, each reading only its
+//! own binary shard (eager or demand-paged, user-supplied or written by
+//! the launcher from an edge list), must reproduce the in-process thread
+//! world bit-for-bit — codelength, per-round MDL series, and the final
+//! assignment.
 
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use infomap_distributed::{DistributedConfig, DistributedInfomap};
 use infomap_graph::generators::{lfr_like, LfrParams};
-use infomap_graph::snapshot::write_shards;
+use infomap_graph::io::read_edge_list_file;
+use infomap_graph::snapshot::{shard_path, write_shards};
 
 const BIN: &str = env!("CARGO_BIN_EXE_dinfomap");
 const WATCHDOG: Duration = Duration::from_secs(120);
@@ -166,5 +168,123 @@ fn shard_launch_rejects_a_mismatched_world_size() {
         stderr.contains("sharded for rank") || stderr.contains("cannot read"),
         "error should explain the mismatch:\n{stderr}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shard_launch_rejects_shards_of_different_graphs() {
+    let dir = tmpdir("mixed");
+    let lfr = |seed| {
+        lfr_like(
+            LfrParams {
+                n: 120,
+                ..Default::default()
+            },
+            seed,
+        )
+        .0
+    };
+    let (a, b) = (lfr(3), lfr(4));
+    assert_eq!(a.num_vertices(), b.num_vertices());
+    let (shards_a, shards_b) = (dir.join("a"), dir.join("b"));
+    write_shards(&a, 2, &shards_a).expect("write shards");
+    write_shards(&b, 2, &shards_b).expect("write shards");
+    // Same world size, same vertex count: only the graph totals tell the
+    // two halves apart.
+    let mixed = shard_path(&shards_a, 1);
+    std::fs::copy(shard_path(&shards_b, 1), &mixed).unwrap();
+    let rendezvous = dir.join("world");
+    let (ok, _stdout, stderr) = run_guarded(&[
+        "launch",
+        "--graph-shard-dir",
+        shards_a.to_str().unwrap(),
+        "--procs",
+        "2",
+        "--dir",
+        rendezvous.to_str().unwrap(),
+        "--quiet",
+    ]);
+    assert!(!ok, "shards of two graphs must fail");
+    assert!(
+        stderr.contains("shard-1.snap: shard of a different graph"),
+        "error should name the disagreeing shard:\n{stderr}"
+    );
+    assert!(
+        !rendezvous.exists(),
+        "the launcher must refuse before creating the world"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `codelength:` line of a run report.
+fn codelength_line(stdout: &str) -> String {
+    stdout
+        .lines()
+        .find(|l| l.trim_start().starts_with("codelength:"))
+        .unwrap_or_else(|| panic!("no codelength line in:\n{stdout}"))
+        .trim()
+        .to_string()
+}
+
+#[test]
+fn edge_list_launch_matches_thread_world_cluster() {
+    let dir = tmpdir("edges");
+    let graph = dir.join("graph.txt");
+    let graph = graph.to_str().unwrap();
+    let (ok, _, stderr) =
+        run_guarded(&["generate", "uk2007", "--scale", "0.05", "--output", graph]);
+    assert!(ok, "generate failed:\n{stderr}");
+    // The file's ids are not in dense (first-appearance) order, so an
+    // assignment written without the id map would differ.
+    let loaded = read_edge_list_file(graph).expect("read back");
+    assert!(loaded
+        .original_ids
+        .iter()
+        .enumerate()
+        .any(|(dense, &id)| dense as u64 != id));
+
+    let reference = dir.join("cluster.txt");
+    let (ok, cluster_stdout, stderr) = run_guarded(&[
+        "cluster",
+        graph,
+        "--algorithm",
+        "dist",
+        "--ranks",
+        "3",
+        "--output",
+        reference.to_str().unwrap(),
+    ]);
+    assert!(ok, "cluster failed:\n{stderr}");
+    let reference = std::fs::read(&reference).unwrap();
+
+    let paged: &[&str] = &["--paged", "--block-bytes", "256", "--cache-blocks", "8"];
+    for (leg, extra) in [("eager", &[][..]), ("paged", paged)] {
+        let out = dir.join(format!("{leg}.txt"));
+        let rendezvous = dir.join(leg);
+        let mut args = vec![
+            "launch",
+            graph,
+            "--procs",
+            "3",
+            "--timeout-ms",
+            "8000",
+            "--dir",
+            rendezvous.to_str().unwrap(),
+            "--output",
+            out.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let (ok, stdout, stderr) = run_guarded(&args);
+        assert!(ok, "{leg} edge-list launch failed:\n{stderr}");
+        assert!(
+            std::fs::read(&out).unwrap() == reference,
+            "{leg}: assignment file differs from `cluster --algorithm dist`"
+        );
+        assert_eq!(codelength_line(&stdout), codelength_line(&cluster_stdout));
+        assert!(
+            !rendezvous.join("shards").exists(),
+            "{leg}: the launcher's shards outlived the run"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

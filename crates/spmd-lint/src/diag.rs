@@ -76,9 +76,7 @@ impl Rule {
             "R3" | "nondeterministic-source" => Some(Rule::NondeterministicSource),
             "R4" | "unmetered-send" => Some(Rule::UnmeteredSend),
             "R5" | "float-accumulation" => Some(Rule::FloatAccumulation),
-            "R6" | "divergent-collective-transitive" => {
-                Some(Rule::DivergentCollectiveTransitive)
-            }
+            "R6" | "divergent-collective-transitive" => Some(Rule::DivergentCollectiveTransitive),
             "R7" | "checkpoint-completeness" => Some(Rule::CheckpointCompleteness),
             _ => None,
         }

@@ -396,7 +396,11 @@ mod tests {
     fn struct_fields_with_attrs_and_vis() {
         let src = "pub struct S {\n    pub a: u32,\n    #[allow(dead_code)]\n    b: Vec<(u32, f64)>,\n    pub(crate) c: HashMap<u32, u32>,\n}";
         let (_, p) = parsed(src);
-        let f: Vec<&str> = p.structs[0].fields.iter().map(|(n, _)| n.as_str()).collect();
+        let f: Vec<&str> = p.structs[0]
+            .fields
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect();
         assert_eq!(f, vec!["a", "b", "c"]);
     }
 

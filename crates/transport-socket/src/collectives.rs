@@ -150,6 +150,9 @@ pub fn reindex(rank: usize, mut have: Vec<Option<Vec<u8>>>) -> Vec<Vec<u8>> {
 mod tests {
     use super::*;
 
+    /// One message: `(global source, blob)` blocks.
+    type Blocks = Vec<(usize, Vec<u8>)>;
+
     /// Pure in-memory simulation of the schedule: every rank runs its
     /// rounds against a shared "network" of pending messages. Proves the
     /// schedule is deadlock-free in lockstep and delivers every blob to
@@ -164,13 +167,16 @@ mod tests {
             })
             .collect();
         let schedules: Vec<_> = (0..p).map(|r| bruck_rounds(r, p)).collect();
-        let rounds = schedules[0].len();
-        for k in 0..rounds {
+        // Round-major: `plans[r]` is rank r's plan for round k.
+        let rounds =
+            (0..schedules[0].len()).map(|k| schedules.iter().map(|s| s[k]).collect::<Vec<_>>());
+        for (k, plans) in rounds.enumerate() {
             // Collect every rank's round-k message first (no rank may
             // depend on a same-round delivery before sending).
-            let msgs: Vec<(usize, Vec<(usize, Vec<u8>)>)> = (0..p)
-                .map(|r| {
-                    let plan = schedules[r][k];
+            let msgs: Vec<(usize, Blocks)> = plans
+                .iter()
+                .enumerate()
+                .map(|(r, &plan)| {
                     let blocks = (0..plan.send_blocks)
                         .map(|v| ((r + v) % p, have[r][v].clone().expect("held block")))
                         .collect();
@@ -178,7 +184,7 @@ mod tests {
                 })
                 .collect();
             for (r, (dest, blocks)) in msgs.into_iter().enumerate() {
-                let plan = schedules[dest][k];
+                let plan = plans[dest];
                 assert_eq!(
                     plan.recv_from, r,
                     "round {k}: rank {dest} expects its sender"

@@ -1338,8 +1338,7 @@ mod tests {
     fn bootstrap_and_exchange_four_ranks() {
         let out = mesh(4, test_cfg("exch"), |mut t| {
             let mine = vec![t.rank() as u8; t.rank() + 1];
-            let all = t.exchange(0, mine).unwrap();
-            all
+            t.exchange(0, mine).unwrap()
         });
         for (rank, all) in out.iter().enumerate() {
             assert_eq!(all.len(), 4, "rank {rank}");
@@ -1465,8 +1464,7 @@ mod tests {
             c
         };
         let out = mesh(2, cfg, |mut t| {
-            let all = t.exchange(0, vec![t.rank() as u8 + 40]).unwrap();
-            all
+            t.exchange(0, vec![t.rank() as u8 + 40]).unwrap()
         });
         assert_eq!(out[0], vec![vec![40], vec![41]]);
         assert_eq!(out[1], vec![vec![40], vec![41]]);

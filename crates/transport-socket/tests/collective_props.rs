@@ -40,12 +40,16 @@ fn run_schedule(blobs: &[Vec<u8>]) -> Vec<Vec<Vec<u8>>> {
         })
         .collect();
     let schedules: Vec<_> = (0..p).map(|r| bruck_rounds(r, p)).collect();
-    for k in 0..schedules[0].len() {
-        // Every rank's round-k frame travels through the wire codec, like
-        // the real transport's CollRound payloads.
-        let wires: Vec<(usize, Vec<u8>)> = (0..p)
-            .map(|r| {
-                let plan = schedules[r][k];
+    // Round-major: `plans[r]` is rank r's plan for one round.
+    let rounds =
+        (0..schedules[0].len()).map(|k| schedules.iter().map(|s| s[k]).collect::<Vec<_>>());
+    for plans in rounds {
+        // Every rank's frame travels through the wire codec, like the
+        // real transport's CollRound payloads.
+        let wires: Vec<(usize, Vec<u8>)> = plans
+            .iter()
+            .enumerate()
+            .map(|(r, &plan)| {
                 let body = encode_round(
                     plan.round,
                     (0..plan.send_blocks)
@@ -55,7 +59,7 @@ fn run_schedule(blobs: &[Vec<u8>]) -> Vec<Vec<Vec<u8>>> {
             })
             .collect();
         for (dest, body) in wires {
-            let plan = schedules[dest][k];
+            let plan = plans[dest];
             let (round, blocks) = decode_round(&body).expect("well-formed round");
             assert_eq!(round, plan.round);
             for (i, (gsrc, blob)) in blocks.into_iter().enumerate() {
